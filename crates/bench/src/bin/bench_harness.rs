@@ -26,6 +26,7 @@ use std::time::Instant;
 use mafic_experiments::engine::run_specs;
 use mafic_experiments::{sweep, sweep_warm, EngineConfig};
 use mafic_netsim::{Addr, FlowInterner, FlowKey, FlowSlab, SimTime};
+use mafic_obs::{parse_json_line, JsonValue};
 use mafic_topology::TransitTopology;
 use mafic_workload::{
     encode_checkpoint, restore_run, run_scenario, run_spec, AdversarySpec, Scenario, ScenarioSpec,
@@ -359,19 +360,6 @@ fn json_f(v: f64) -> String {
     }
 }
 
-/// Extracts the number following `"key":` from a flat JSON document.
-/// The bench records are emitted by this binary with exactly that
-/// shape, so a full parser is unnecessary (and unavailable offline).
-fn json_lookup(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let mut ci = false;
     let mut out: Option<String> = None;
@@ -400,8 +388,9 @@ fn main() {
     );
     eprintln!("[bench] e2e scenario ({reps} reps, ledger on)...");
     let e2e_ledger = measure_e2e(reps, true);
-    let ledger_overhead_pct =
-        (e2e.packets_per_sec / e2e_ledger.packets_per_sec - 1.0).max(0.0) * 100.0;
+    // Unclamped: a negative overhead is measurement noise and is
+    // reported as measured, not hidden as zero.
+    let ledger_overhead_pct = (e2e.packets_per_sec / e2e_ledger.packets_per_sec - 1.0) * 100.0;
     eprintln!(
         "[bench]   {:.0} packets/sec with ledger recording ({:.1}% overhead)",
         e2e_ledger.packets_per_sec, ledger_overhead_pct
@@ -409,7 +398,7 @@ fn main() {
     let adversary_reps = 10;
     eprintln!("[bench] adversary hook overhead ({adversary_reps} paired reps, inert loop)...");
     let (pps_hook_off, pps_hook_on) = measure_adversary_overhead(adversary_reps);
-    let adversary_overhead_pct = (pps_hook_off / pps_hook_on - 1.0).max(0.0) * 100.0;
+    let adversary_overhead_pct = (pps_hook_off / pps_hook_on - 1.0) * 100.0;
     eprintln!(
         "[bench]   {pps_hook_off:.0} packets/sec hook off, {pps_hook_on:.0} armed \
          ({adversary_overhead_pct:.1}% overhead)"
@@ -492,7 +481,11 @@ fn main() {
     if let Some(baseline_path) = gate {
         let doc = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-        let baseline_pps = json_lookup(&doc, "packets_per_sec")
+        let record = parse_json_line(&doc)
+            .unwrap_or_else(|e| panic!("baseline {baseline_path} is not valid JSON: {e}"));
+        let baseline_pps = record
+            .get("packets_per_sec")
+            .and_then(JsonValue::as_f64)
             .unwrap_or_else(|| panic!("baseline {baseline_path} lacks packets_per_sec"));
         let floor = baseline_pps * (1.0 - GATE_TOLERANCE);
         eprintln!(

@@ -211,6 +211,7 @@ impl LintConfig {
                     deps: &[
                         "mafic-experiments",
                         "mafic-netsim",
+                        "mafic-obs",
                         "mafic-topology",
                         "mafic-workload",
                     ],

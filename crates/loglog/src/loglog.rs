@@ -234,18 +234,57 @@ impl LogLog {
         if self.inserts == 0 {
             return 0.0;
         }
+        let (zeros, sum) = register_stats(self.registers.iter().copied());
+        self.estimate_from(zeros, sum)
+    }
+
+    /// The estimator over a register file summarized as its count of
+    /// zero registers and its register sum.
+    fn estimate_from(&self, zeros: u32, sum: u32) -> f64 {
         let m = self.precision.registers() as f64;
-        let zeros = self.registers.iter().filter(|&&r| r == 0).count();
         if zeros > 0 {
             // Linear counting is far more accurate while registers remain
             // empty; LogLog's geometric mean is badly biased there.
-            let lc = m * (m / zeros as f64).ln();
+            let lc = m * (m / f64::from(zeros)).ln();
             if lc < 2.5 * m {
                 return lc;
             }
         }
-        let sum: f64 = self.registers.iter().map(|&r| f64::from(r)).sum();
-        self.alpha() * m * 2f64.powf(sum / m)
+        // The register sum is an integer far below 2^53, so converting it
+        // once equals summing the registers as f64 one by one.
+        self.alpha() * m * 2f64.powf(f64::from(sum) / m)
+    }
+
+    /// Estimates `|A ∪ B|` without building the union: equal, bit for
+    /// bit, to `self.merged(other)?.estimate()`, but computed in one
+    /// allocation-free pass over both register files.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SketchError`] if the precisions differ.
+    pub fn union_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
+        self.check_precision(other)?;
+        if self.inserts == 0 && other.inserts == 0 {
+            return Ok(0.0);
+        }
+        let union = self
+            .registers
+            .iter()
+            .zip(&other.registers)
+            .map(|(&a, &b)| a.max(b));
+        let (zeros, sum) = register_stats(union);
+        Ok(self.estimate_from(zeros, sum))
+    }
+
+    fn check_precision(&self, other: &LogLog) -> Result<(), SketchError> {
+        if self.precision == other.precision {
+            Ok(())
+        } else {
+            Err(SketchError {
+                left: self.precision.bits(),
+                right: other.precision.bits(),
+            })
+        }
     }
 
     /// Max-merges `other` into `self` (distributed union).
@@ -254,12 +293,7 @@ impl LogLog {
     ///
     /// Returns [`SketchError`] if the precisions differ.
     pub fn merge_from(&mut self, other: &LogLog) -> Result<(), SketchError> {
-        if self.precision != other.precision {
-            return Err(SketchError {
-                left: self.precision.bits(),
-                right: other.precision.bits(),
-            });
-        }
+        self.check_precision(other)?;
         for (dst, &src) in self.registers.iter_mut().zip(other.registers.iter()) {
             if src > *dst {
                 *dst = src;
@@ -287,9 +321,19 @@ impl LogLog {
     ///
     /// Returns [`SketchError`] if the precisions differ.
     pub fn intersection_estimate(&self, other: &LogLog) -> Result<f64, SketchError> {
-        let union = self.merged(other)?.estimate();
+        let union = self.union_estimate(other)?;
         Ok((self.estimate() + other.estimate() - union).max(0.0))
     }
+}
+
+/// Count of zero registers and the register sum, in one pass. Ranks are
+/// at most 61 and there are at most 2^14 registers, so a `u32` sum
+/// cannot overflow.
+#[inline]
+fn register_stats(registers: impl Iterator<Item = u8>) -> (u32, u32) {
+    registers.fold((0, 0), |(zeros, sum), r| {
+        (zeros + u32::from(r == 0), sum + u32::from(r))
+    })
 }
 
 impl Default for LogLog {
@@ -360,6 +404,50 @@ mod tests {
         }
         let merged = a.merged(&b).unwrap();
         assert_eq!(merged.registers(), both.registers());
+    }
+
+    /// The fused union estimate must equal building the union, bit for
+    /// bit, at every precision and across the empty, linear-counting and
+    /// LogLog regimes (including one empty side).
+    #[test]
+    fn union_estimate_is_bit_equal_to_merged_estimate() {
+        for p in Precision::all() {
+            let m = p.registers() as u64;
+            for (na, nb) in [
+                (0, 0),
+                (0, 3),
+                (5, 0),
+                (1, 1),
+                (m / 4, m / 3),
+                (m, 2 * m),
+                (8 * m, 3 * m),
+                (40 * m, 40 * m),
+            ] {
+                let mut a = LogLog::new(p);
+                let mut b = LogLog::new(p);
+                for i in 0..na {
+                    a.insert_u64(i);
+                }
+                // Offset so the two sides overlap by half of `b`.
+                for i in na.saturating_sub(nb / 2)..na.saturating_sub(nb / 2) + nb {
+                    b.insert_u64(i);
+                }
+                let fused = a.union_estimate(&b).unwrap();
+                let built = a.merged(&b).unwrap().estimate();
+                assert_eq!(
+                    fused.to_bits(),
+                    built.to_bits(),
+                    "{p}: |A|={na} |B|={nb} fused {fused} vs built {built}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn union_estimate_rejects_mismatched_precision() {
+        let a = LogLog::new(Precision::P8);
+        let b = LogLog::new(Precision::P10);
+        assert!(a.union_estimate(&b).is_err());
     }
 
     #[test]

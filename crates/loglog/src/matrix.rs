@@ -68,17 +68,23 @@ impl TrafficMatrix {
             .iter()
             .map(RouterSketch::destination_cardinality)
             .collect();
+        // `a_ij = |S_i| + |D_j| − |S_i ∪ D_j|`, clamped at zero: the
+        // arithmetic of `RouterSketch::flow_estimate`, reusing the
+        // per-router cardinalities computed above.
         for (i, ingress) in routers.iter().enumerate() {
+            let source = ingress.source_sketch();
             // Skip silent ingresses: their row is exactly zero and the
             // inclusion–exclusion noise would otherwise pollute it.
-            if ingress.source_sketch().is_empty() {
+            if source.is_empty() {
                 continue;
             }
             for (j, egress) in routers.iter().enumerate() {
-                if egress.destination_sketch().is_empty() {
+                let destination = egress.destination_sketch();
+                if destination.is_empty() {
                     continue;
                 }
-                flows[i * n + j] = ingress.flow_estimate(egress)?;
+                let union = source.union_estimate(destination)?;
+                flows[i * n + j] = (source_card[i] + dest_card[j] - union).max(0.0);
             }
         }
         Ok(TrafficMatrix {
@@ -179,6 +185,78 @@ mod tests {
             r2.record_destination(id);
         }
         vec![r0, r1, r2]
+    }
+
+    /// Sketches shaped like a domain's harvested taps: a few busy
+    /// ingresses, a victim egress, ACK traffic back out of the ingresses,
+    /// and silent transit routers.
+    fn harvested_style_domain(p: Precision) -> Vec<RouterSketch> {
+        let mut routers: Vec<RouterSketch> = (0..12).map(|_| RouterSketch::new(p)).collect();
+        let mut id = 0u64;
+        for (ingress, packets) in [(3usize, 9_000u64), (4, 2_500), (7, 300), (9, 40)] {
+            for _ in 0..packets {
+                routers[ingress].record_source(id);
+                routers[0].record_destination(id);
+                id += 1;
+            }
+            // Reverse-path ACKs enter at the victim side and leave here.
+            for _ in 0..packets / 3 {
+                routers[0].record_source(id);
+                routers[ingress].record_destination(id);
+                id += 1;
+            }
+        }
+        routers
+    }
+
+    /// The matrix must equal the pairwise inclusion–exclusion formula
+    /// over built union sketches (and the per-router cardinalities) bit
+    /// for bit.
+    #[test]
+    fn matrix_equals_pairwise_flow_estimates() {
+        for p in Precision::all() {
+            let routers = harvested_style_domain(p);
+            let m = TrafficMatrix::estimate(&routers).unwrap();
+            for (i, ingress) in routers.iter().enumerate() {
+                assert_eq!(
+                    m.source_cardinality(RouterSketchId(i)).to_bits(),
+                    ingress.source_cardinality().to_bits()
+                );
+                assert_eq!(
+                    m.destination_cardinality(RouterSketchId(i)).to_bits(),
+                    ingress.destination_cardinality().to_bits()
+                );
+                for (j, egress) in routers.iter().enumerate() {
+                    let expected = if ingress.source_sketch().is_empty()
+                        || egress.destination_sketch().is_empty()
+                    {
+                        0.0
+                    } else {
+                        // The original formula: build the union sketch.
+                        let union = ingress
+                            .source_sketch()
+                            .merged(egress.destination_sketch())
+                            .unwrap()
+                            .estimate();
+                        (ingress.source_cardinality() + egress.destination_cardinality() - union)
+                            .max(0.0)
+                    };
+                    assert_eq!(
+                        m.flow(RouterSketchId(i), RouterSketchId(j)).to_bits(),
+                        expected.to_bits(),
+                        "{p}: a[{i}][{j}]"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_precisions_are_rejected() {
+        let mut routers = harvested_style_domain(Precision::P10);
+        routers.push(RouterSketch::new(Precision::P8));
+        routers[12].record_destination(1);
+        assert!(TrafficMatrix::estimate(&routers).is_err());
     }
 
     #[test]

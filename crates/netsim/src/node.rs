@@ -55,6 +55,28 @@ impl Node {
         self.last_route = None;
     }
 
+    /// Installs or replaces many host routes with one sort: equivalent to
+    /// calling [`Node::add_route`] for each entry in order, so a later
+    /// entry for the same destination wins.
+    pub(crate) fn add_routes(&mut self, routes: Vec<(Addr, LinkId)>) {
+        if self.routes.is_empty() {
+            self.routes = routes;
+        } else {
+            self.routes.extend(routes);
+        }
+        // Stable: equal destinations keep their install order, and the
+        // dedup below then keeps the last of each run.
+        self.routes.sort_by_key(|&(dst, _)| dst);
+        self.routes.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        self.last_route = None;
+    }
+
     /// Sets the default route used when no host route matches.
     pub(crate) fn set_default_route(&mut self, via: Option<LinkId>) {
         self.default_route = via;
@@ -127,6 +149,48 @@ mod tests {
         n.add_route(a, LinkId(3));
         assert_eq!(n.route_for(a), Some(LinkId(3)));
         assert_eq!(n.route_for(Addr::from_octets(10, 0, 0, 2)), Some(LinkId(9)));
+    }
+
+    /// Bulk install must leave the same table as one `add_route` per
+    /// entry in order: sorted, one entry per destination, last one wins,
+    /// and pre-existing routes overridden or kept.
+    #[test]
+    fn bulk_routes_equal_one_by_one_installs() {
+        let batch = vec![
+            (Addr::new(7), LinkId(1)),
+            (Addr::new(2), LinkId(2)),
+            (Addr::new(7), LinkId(3)),
+            (Addr::new(5), LinkId(4)),
+            (Addr::new(2), LinkId(5)),
+            (Addr::new(9), LinkId(6)),
+        ];
+        for existing in [
+            vec![],
+            vec![(Addr::new(5), LinkId(8)), (Addr::new(1), LinkId(8))],
+        ] {
+            let mut one_by_one = Node::new(NodeId(0), "a".into());
+            let mut bulk = Node::new(NodeId(0), "b".into());
+            for &(dst, via) in &existing {
+                one_by_one.add_route(dst, via);
+                bulk.add_route(dst, via);
+            }
+            // Warm the lookup memo so a stale answer would show.
+            assert_eq!(
+                bulk.route_for(Addr::new(5)),
+                one_by_one.route_for(Addr::new(5))
+            );
+            for &(dst, via) in &batch {
+                one_by_one.add_route(dst, via);
+            }
+            bulk.add_routes(batch.clone());
+            assert_eq!(bulk.routes, one_by_one.routes);
+            for dst in 0..12 {
+                assert_eq!(
+                    bulk.route_for(Addr::new(dst)),
+                    one_by_one.route_for(Addr::new(dst))
+                );
+            }
+        }
     }
 
     #[test]

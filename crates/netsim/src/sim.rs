@@ -67,12 +67,13 @@ pub struct Simulator {
     links: Vec<Link>,
     agents: Vec<Option<Box<dyn Agent>>>,
     agent_home: Vec<NodeId>,
-    /// Per-agent memo of the last sent flow's `(key, stats id)`. Senders
-    /// emit one flow each, so this skips the interner hash on nearly
-    /// every send; a hit always equals what the interner would answer
-    /// (interning an already-known key is a pure lookup, so skipping it
-    /// cannot change mint order).
-    agent_send_memo: Vec<Option<(FlowKey, FlowId)>>,
+    /// Per-agent memo of the last sent flow. Senders emit one flow each,
+    /// so this skips both interner hashes on nearly every packet: the
+    /// stats id at send and the simulator flow id at the first node
+    /// arrival. A hit always equals what the interner would answer, and
+    /// the memo only ever records ids the interners already minted, so
+    /// it cannot change mint order.
+    agent_send_memo: Vec<Option<SendMemo>>,
     scheduler: Scheduler,
     /// Hierarchical timer wheel carrying filter flow-timers.
     wheel: TimerWheel<FlowTimerFire>,
@@ -94,6 +95,16 @@ pub struct Simulator {
     /// agent loopback deliveries re-enter dispatch and need a fresh one).
     filter_bufs: Vec<Vec<FilterCommand>>,
     agent_bufs: Vec<Vec<AgentCommand>>,
+}
+
+/// One agent's last sent flow; see `Simulator::agent_send_memo`.
+#[derive(Debug, Clone, Copy)]
+struct SendMemo {
+    key: FlowKey,
+    stats_id: FlowId,
+    /// The simulator flow id, filled in when the first packet of `key`
+    /// is interned at its first node arrival.
+    flow: Option<FlowId>,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -610,6 +621,25 @@ impl Simulator {
         self.nodes[node.index()].add_route(dst, via);
     }
 
+    /// Installs many host routes on `node` at once: the same result as
+    /// [`add_route`](Simulator::add_route) for each `(dst, via)` in order
+    /// (a later entry for the same destination wins), with one sort of the
+    /// node's table instead of one insertion per route.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any `via` does not originate at `node`.
+    pub fn add_routes(&mut self, node: NodeId, routes: Vec<(Addr, LinkId)>) {
+        for &(_, via) in &routes {
+            assert_eq!(
+                self.links[via.index()].from,
+                node,
+                "route via a link that does not start at {node}"
+            );
+        }
+        self.nodes[node.index()].add_routes(routes);
+    }
+
     /// Sets the default route of `node`.
     ///
     /// # Panics
@@ -878,10 +908,14 @@ impl Simulator {
     }
 
     fn node_receive(&mut self, node_id: NodeId, pref: PacketRef, via: Option<LinkId>) {
-        let (key, hop_exceeded) = {
+        let (key, origin, hop_exceeded) = {
             let packet = self.arena.get_mut(pref);
             packet.hops += 1;
-            (packet.key, packet.hop_limit_exceeded())
+            (
+                packet.key,
+                packet.provenance.origin,
+                packet.hop_limit_exceeded(),
+            )
         };
         if hop_exceeded {
             let sid = self.stats_id_of(pref);
@@ -898,7 +932,7 @@ impl Simulator {
         let flow = match self.arena.flow_id(pref) {
             Some(flow) => flow,
             None => {
-                let flow = self.flows.intern(key);
+                let flow = self.flow_id_for(origin, key);
                 self.arena.set_flow_id(pref, flow);
                 flow
             }
@@ -949,6 +983,26 @@ impl Simulator {
                     self.forward(node_id, pref);
                 }
             }
+        }
+    }
+
+    /// The simulator flow id for `key`, sent by agent `origin`: read from
+    /// the origin's send memo once a packet of `key` has been interned,
+    /// otherwise interned here and recorded in the memo for the origin's
+    /// next packets. Infrastructure packets carry no agent origin and
+    /// always intern.
+    fn flow_id_for(&mut self, origin: AgentId, key: FlowKey) -> FlowId {
+        let memo = self
+            .agent_send_memo
+            .get_mut(origin.index())
+            .and_then(Option::as_mut)
+            .filter(|memo| memo.key == key);
+        match memo {
+            Some(SendMemo {
+                flow: Some(flow), ..
+            }) => *flow,
+            Some(memo) => *memo.flow.insert(self.flows.intern(key)),
+            None => self.flows.intern(key),
         }
     }
 
@@ -1242,10 +1296,14 @@ impl Simulator {
             match cmd {
                 AgentCommand::SendPacket(packet) => {
                     let sid = match self.agent_send_memo[agent_id.index()] {
-                        Some((key, id)) if key == packet.key => id,
+                        Some(memo) if memo.key == packet.key => memo.stats_id,
                         _ => {
                             let id = self.stats.flow_id(packet.key);
-                            self.agent_send_memo[agent_id.index()] = Some((packet.key, id));
+                            self.agent_send_memo[agent_id.index()] = Some(SendMemo {
+                                key: packet.key,
+                                stats_id: id,
+                                flow: None,
+                            });
                             id
                         }
                     };
@@ -1256,7 +1314,7 @@ impl Simulator {
                     // if the destination is another local agent, deliver
                     // directly (loopback).
                     if self.nodes[node.index()].is_local(key.dst) {
-                        let flow = self.flows.intern(key);
+                        let flow = self.flow_id_for(agent_id, key);
                         self.deliver_local(node, pref, flow);
                     } else {
                         self.forward(node, pref);

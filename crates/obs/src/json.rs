@@ -1,13 +1,15 @@
-//! A minimal JSON reader for the ledger's own JSONL output.
+//! A minimal JSON reader for the repository's own JSON output: the
+//! ledger's JSONL and the bench harness records.
 //!
 //! Deliberately small: objects, arrays, strings (with the escapes the
-//! writer emits plus `\uXXXX`), unsigned integers, booleans, and null.
-//! Signed/float numbers are rejected — the ledger never writes them,
-//! and hashes travel as hex strings precisely because a `u64` does not
-//! survive a JSON `f64`.
+//! writer emits plus `\uXXXX`), numbers, booleans, and null. Unsigned
+//! integers parse exactly as `u64`; any other number (signed, fractional
+//! or with an exponent) parses as `f64`. The ledger writes only unsigned
+//! integers, and its hashes travel as hex strings precisely because a
+//! `u64` does not survive a JSON `f64`.
 
 /// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
     Null,
@@ -15,6 +17,8 @@ pub enum JsonValue {
     Bool(bool),
     /// An unsigned integer.
     Num(u64),
+    /// Any other number: signed, fractional or with an exponent.
+    Float(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -47,6 +51,17 @@ impl JsonValue {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as `f64`, if it is a number of either kind. Integers
+    /// above 2^53 round to the nearest `f64`.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Num(n) => Some(*n as f64),
+            JsonValue::Float(x) => Some(*x),
             _ => None,
         }
     }
@@ -109,7 +124,7 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'0'..=b'9') => self.number(),
+            Some(b'0'..=b'9' | b'-') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
@@ -125,17 +140,24 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let mut integer = true;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {}
+                b'-' | b'+' | b'.' | b'e' | b'E' => integer = false,
+                _ => break,
+            }
             self.pos += 1;
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(format!("non-integer number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(JsonValue::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok();
+        let value = if integer {
+            text.and_then(|s| s.parse::<u64>().ok()).map(JsonValue::Num)
+        } else {
+            text.and_then(|s| s.parse::<f64>().ok())
+                .filter(|x| x.is_finite())
+                .map(JsonValue::Float)
+        };
+        value.ok_or_else(|| format!("bad number at byte {start}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -276,8 +298,26 @@ mod tests {
     }
 
     #[test]
-    fn rejects_floats_and_trailing_input() {
-        assert!(parse_json_line("1.5").is_err());
+    fn parses_signed_and_fractional_numbers_as_floats() {
+        assert_eq!(parse_json_line("1.5").unwrap(), JsonValue::Float(1.5));
+        assert_eq!(parse_json_line("-3").unwrap(), JsonValue::Float(-3.0));
+        assert_eq!(parse_json_line("2e3").unwrap().as_f64(), Some(2000.0));
+        let v = parse_json_line("{\n  \"pps\": 1094156.898,\n  \"pct\": -0.25\n}\n").unwrap();
+        assert_eq!(
+            v.get("pps").and_then(JsonValue::as_f64),
+            Some(1_094_156.898)
+        );
+        assert_eq!(v.get("pct").and_then(JsonValue::as_f64), Some(-0.25));
+        // Floats are never mistaken for the exact integers ledgers carry.
+        assert_eq!(v.get("pps").and_then(JsonValue::as_u64), None);
+        assert_eq!(parse_json_line("7").unwrap().as_f64(), Some(7.0));
+    }
+
+    #[test]
+    fn rejects_malformed_numbers_and_trailing_input() {
+        assert!(parse_json_line("1.2.3").is_err());
+        assert!(parse_json_line("-").is_err());
+        assert!(parse_json_line("1e999").is_err());
         assert!(parse_json_line("{} x").is_err());
         assert!(parse_json_line("{").is_err());
     }

@@ -287,12 +287,16 @@ pub fn install_host_routes(sim: &mut Simulator, destinations: &[(Addr, NodeId)])
         adj[from.index()].push((to.index(), link));
     }
 
+    // Routes are collected per node and installed with one sort per
+    // node; the BFS buffers are reused across destinations.
+    let mut routes: Vec<Vec<(Addr, mafic_netsim::LinkId)>> = vec![Vec::new(); n];
+    let mut dist = vec![usize::MAX; n];
+    let mut queue = std::collections::VecDeque::new();
     for &(addr, dst) in destinations {
         // BFS over the reverse graph from the destination; because all
         // links are installed in duplex pairs the graph is symmetric,
         // so a forward BFS gives the same hop distances.
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = std::collections::VecDeque::new();
+        dist.fill(usize::MAX);
         dist[dst.index()] = 0;
         queue.push_back(dst.index());
         while let Some(u) = queue.pop_front() {
@@ -314,8 +318,13 @@ pub fn install_host_routes(sim: &mut Simulator, destinations: &[(Addr, NodeId)])
                 .filter(|&&(v, _)| dist[v] < dist[u])
                 .min_by_key(|&&(v, _)| dist[v]);
             if let Some(&(_, link)) = best {
-                sim.add_route(NodeId::from_index(u), addr, link);
+                routes[u].push((addr, link));
             }
+        }
+    }
+    for (u, node_routes) in routes.into_iter().enumerate() {
+        if !node_routes.is_empty() {
+            sim.add_routes(NodeId::from_index(u), node_routes);
         }
     }
 }
